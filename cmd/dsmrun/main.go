@@ -72,7 +72,7 @@
 // shape reads as empty rather than serving stale bytes; torn or
 // corrupted entries are detected (per-frame CRC), skipped and
 // transparently recomputed. Concurrent access is safe within a process
-// and across processes (advisory file lock); fabric workers pass the
+// and across processes (advisory file lock); sweepd workers take the
 // same flag to consult their local store before executing a leased
 // range. -store-max-bytes bounds the directory, evicting
 // least-recently-used records first (0: unbounded). With -metrics-addr
@@ -132,21 +132,20 @@
 //
 // Distributed sweeps (the sweep fabric):
 //
-//	dsmrun -worker-listen :9190                 # serve as a fabric worker
+//	sweepd -listen :9190                        # on each worker host
 //	dsmrun -sweep "..." -fabric host1:9190,host2:9190 [-fabric-range N] [-fabric-lease 2m]
 //
-// -fabric shards the sweep across worker daemons (dsmrun
-// -worker-listen or sweepd) listed as comma-separated addresses: the
-// coordinator splits the spec list into leased ranges, assigns them
-// over HTTP, validates and re-merges the streamed records into spec
-// order — the stdout bytes are identical to a local -sweep at any
-// worker count. Leases have deadlines (-fabric-lease); expired,
-// crashed, or malformed leases are retried and reassigned, stragglers
-// are re-issued to idle workers (first valid result wins), and ranges
-// the fleet cannot finish fall back to local execution, so an empty or
-// fully-dead fleet degrades to a plain local sweep. Workers whose
-// build has a different record schema version are rejected at
-// registration. With -metrics-addr the /progress endpoint serves the
+// -fabric shards the sweep across sweepd worker daemons listed as
+// comma-separated addresses: the coordinator splits the spec list into
+// leased ranges, assigns them over HTTP, validates and re-merges the
+// streamed records into spec order — the stdout bytes are identical to
+// a local -sweep at any worker count. Leases have deadlines
+// (-fabric-lease); expired, crashed, or malformed leases are retried
+// and reassigned, stragglers are re-issued to idle workers (first
+// valid result wins), and ranges the fleet cannot finish fall back to
+// local execution, so an empty or fully-dead fleet degrades to a plain
+// local sweep. Workers whose build has a different record schema
+// version are rejected at registration. With -metrics-addr the /progress endpoint serves the
 // aggregated fleet snapshot (per-worker leases, expiries, inflight,
 // ETA) and /metrics adds the dsm_fabric_* families.
 package main
@@ -190,7 +189,6 @@ func main() {
 	fabricAddrs := flag.String("fabric", "", "comma-separated fabric worker addresses: shard -sweep across them (merged output stays byte-identical)")
 	fabricRange := flag.Int("fabric-range", 0, "specs per fabric lease (0: 4)")
 	fabricLease := flag.Duration("fabric-lease", 0, "fabric lease deadline before reassignment (0: 2m)")
-	workerListen := flag.String("worker-listen", "", "serve as a fabric worker on this address (e.g. :9190) instead of running anything")
 	trace := flag.String("trace", "", "write the run's event trace as Chrome trace_event JSON to this file (single run)")
 	breakdown := flag.Bool("breakdown", false, "print the per-node time attribution (single run) or add bd_* fields (sweep)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
@@ -243,9 +241,9 @@ func main() {
 	}
 
 	// The persistent result store is shared by every mode that executes
-	// runs: sweeps serve records straight from it, single runs and
-	// fabric workers warm it. Every Put is synced frame by frame, so no
-	// explicit flush is needed on the fatal-exit paths.
+	// runs: sweeps serve records straight from it, single runs warm it.
+	// Every Put is synced frame by frame, so no explicit flush is needed
+	// on the fatal-exit paths.
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
@@ -255,10 +253,6 @@ func main() {
 		defer st.Close()
 	}
 
-	if *workerListen != "" {
-		runWorker(*workerListen, *workers, st)
-		return
-	}
 	if *genSpec != "" || *genFile != "" {
 		if err := runGenDiff(*genSpec, *genFile); err != nil {
 			fatal(err)
@@ -484,27 +478,6 @@ func printJSON(s exp.Spec, res, seq core.Result, haveSeq bool) {
 	if err := json.NewEncoder(os.Stdout).Encode(rec); err != nil {
 		fatal(err)
 	}
-}
-
-// runWorker is the -worker-listen mode: serve as a fabric worker until
-// killed, with the full telemetry surface (/metrics, /debug/pprof/*)
-// next to the fabric endpoints. cmd/sweepd is the same daemon plus
-// CI's fault injection.
-func runWorker(listen string, workers int, st *store.Store) {
-	reg := metrics.NewRegistry()
-	w := fabric.NewWorker(reg)
-	w.Workers = workers
-	w.Store = st
-	w.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dsmrun: "+format+"\n", args...)
-	}
-	mux := metrics.NewMux(reg, w.Routes())
-	_, addr, err := metrics.StartServer(listen, mux)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "dsmrun: fabric worker serving /healthz, /run, /progress and /metrics on http://%s\n", addr)
-	select {} // serve until killed
 }
 
 // runGenDiff is the -gen/-genfile mode: run generated programs through

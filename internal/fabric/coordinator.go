@@ -30,12 +30,6 @@ type Coordinator struct {
 	// LeaseTimeout bounds one lease's wall time before the coordinator
 	// abandons it and reassigns the range; 0 means 2 minutes.
 	LeaseTimeout time.Duration
-	// MaxAttempts caps remote attempts per range before it falls back
-	// to local execution; 0 means 3.
-	MaxAttempts int
-	// MaxWorkerFailures retires a worker after that many consecutive
-	// failed leases; 0 means 3.
-	MaxWorkerFailures int
 	// Speedup and Observe mirror exp.Engine.JoinSpeedup / Observe on
 	// the workers and the local fallback engine.
 	Speedup bool
@@ -60,7 +54,6 @@ type Coordinator struct {
 	lastLine time.Time
 	workers  []*workerState
 
-	rangesTotal  int
 	recordsTotal int64
 
 	recordsDone   atomic.Int64
@@ -83,33 +76,12 @@ type workerState struct {
 	inflight atomic.Int64
 	retired  atomic.Bool
 
-	// ewmaNS is an exponentially weighted moving average of this
-	// worker's wall time per spec (successful leases only); 0 means no
-	// observation yet. Adaptive range sizing reads every worker's value
-	// to scale grants, so it is atomic; writes come only from the
-	// worker's own dispatch goroutine.
-	ewmaNS atomic.Int64
-
-	consecFail int   // touched only by the worker's own goroutine
-	grantSizes []int // spec counts granted, in order; same ownership
+	consecFail int // touched only by the worker's own goroutine
 }
 
-// observeLease folds one successful lease into the worker's per-spec
-// pace estimate (alpha = 0.4: responsive to a worker going slow,
-// stable against one noisy lease).
-func (ws *workerState) observeLease(nspecs int, d time.Duration) {
-	if nspecs <= 0 {
-		return
-	}
-	per := d.Nanoseconds() / int64(nspecs)
-	if per <= 0 {
-		per = 1
-	}
-	if old := ws.ewmaNS.Load(); old > 0 {
-		per = (2*per + 3*old) / 5
-	}
-	ws.ewmaNS.Store(per)
-}
+// maxWorkerFailures retires a worker after that many consecutive
+// failed leases.
+const maxWorkerFailures = 3
 
 func (c *Coordinator) rangeSize() int {
 	if c.RangeSize > 0 {
@@ -123,54 +95,6 @@ func (c *Coordinator) leaseTimeout() time.Duration {
 		return c.LeaseTimeout
 	}
 	return 2 * time.Minute
-}
-
-func (c *Coordinator) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 3
-}
-
-func (c *Coordinator) maxWorkerFailures() int {
-	if c.MaxWorkerFailures > 0 {
-		return c.MaxWorkerFailures
-	}
-	return 3
-}
-
-// grantSpecs sizes the next lease for ws: the configured RangeSize
-// while the fleet is unmeasured or ws roughly keeps pace, scaled down
-// toward one spec once ws falls at least 2x behind the fastest live
-// worker (per-spec EWMA ratio — the hysteresis keeps ordinary timing
-// jitter from fragmenting leases). Sizing only repartitions leases —
-// the merge reassembles spec order whatever the granularity, so output
-// bytes never depend on it.
-func (c *Coordinator) grantSpecs(ws *workerState) int {
-	base := c.rangeSize()
-	mine := ws.ewmaNS.Load()
-	if mine <= 0 {
-		return base
-	}
-	fastest := int64(0)
-	c.mu.Lock()
-	for _, o := range c.workers {
-		if o.retired.Load() {
-			continue
-		}
-		if v := o.ewmaNS.Load(); v > 0 && (fastest == 0 || v < fastest) {
-			fastest = v
-		}
-	}
-	c.mu.Unlock()
-	if fastest <= 0 || mine < 2*fastest {
-		return base
-	}
-	size := int(float64(base) * float64(fastest) / float64(mine))
-	if size < 1 {
-		size = 1
-	}
-	return size
 }
 
 func (c *Coordinator) client() *http.Client {
@@ -235,9 +159,8 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 		return stats, err
 	}
 
-	tbl := newLeaseTable(len(specs), c.rangeSize(), c.maxAttempts(), len(live))
+	tbl := newLeaseTable(len(specs), c.rangeSize(), len(live))
 	c.mu.Lock()
-	c.rangesTotal = len(tbl.ranges)
 	c.tbl = tbl
 	c.mu.Unlock()
 
@@ -258,18 +181,15 @@ func (c *Coordinator) Run(out io.Writer, specs []exp.Spec) (exp.StreamStats, err
 	}()
 
 	// Merge: emit ranges strictly in spec order as their records land.
-	// The walk is by position, not index — adaptive sizing can split
-	// ranges (growing the slice) while the merge runs.
 	enc := json.NewEncoder(out)
 	var stats exp.StreamStats
 	var errs []error
 	seenErr := map[string]bool{}
-	for pos := 0; pos < len(specs); {
-		recs, next, ok := tbl.waitDoneAt(pos)
+	for i := range tbl.ranges {
+		recs, ok := tbl.waitDone(i)
 		if !ok {
 			break // canceled — only the write-failure path below does that
 		}
-		pos = next
 		for _, rec := range recs {
 			if rec.Error != "" {
 				stats.Failed++
@@ -345,19 +265,18 @@ func (c *Coordinator) probe(ctx context.Context, base string) (Hello, error) {
 }
 
 // serveWorker is one registered worker's dispatch loop: lease, run,
-// deliver; on failure back off, and retire after too many consecutive
-// failed leases.
+// deliver, and ask for the next range only once this one returns, so
+// a slow worker simply takes fewer ranges. A worker is retired after
+// maxWorkerFailures consecutive failed leases.
 func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *leaseTable, specs []exp.Spec) {
 	for {
-		g, ok := tbl.next(false, c.grantSpecs(ws))
+		g, ok := tbl.next(false)
 		if !ok {
 			return
 		}
 		r := g.r
-		ws.grantSizes = append(ws.grantSizes, r.hi-r.lo)
 		ws.leases.Add(1)
 		ws.inflight.Add(1)
-		leaseStart := time.Now()
 		recs, err := c.runRemote(ctx, ws, g, specs[r.lo:r.hi])
 		ws.inflight.Add(-1)
 		if err != nil {
@@ -371,26 +290,15 @@ func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *lea
 			ws.consecFail++
 			c.logf("fabric: worker %s lease %s failed (expired=%v, consecutive %d): %v",
 				ws.addr, leaseID(g), expired, ws.consecFail, err)
-			if ws.consecFail >= c.maxWorkerFailures() {
+			if ws.consecFail >= maxWorkerFailures {
 				ws.retired.Store(true)
 				tbl.retireWorker()
 				c.logf("fabric: worker %s retired after %d consecutive failures", ws.addr, ws.consecFail)
 				return
 			}
-			// Exponential backoff before the next lease, context-aware.
-			backoff := 100 * time.Millisecond << (ws.consecFail - 1)
-			if backoff > 2*time.Second {
-				backoff = 2 * time.Second
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
 			continue
 		}
 		ws.consecFail = 0
-		ws.observeLease(len(recs), time.Since(leaseStart))
 		ws.records.Add(int64(len(recs)))
 		if !tbl.deliver(g, recs) {
 			c.duplicates.Add(int64(len(recs)))
@@ -399,8 +307,7 @@ func (c *Coordinator) serveWorker(ctx context.Context, ws *workerState, tbl *lea
 }
 
 // leaseID names one grant for logs and the wire: spec bounds plus the
-// attempt ordinal. Bounds are frozen while leased, so the ID is
-// stable.
+// attempt ordinal.
 func leaseID(g grant) string {
 	return fmt.Sprintf("r%d-%d.%d", g.r.lo, g.r.hi, g.attempt)
 }
@@ -410,7 +317,7 @@ func leaseID(g grant) string {
 // through the local engine.
 func (c *Coordinator) serveLocal(eng *exp.Engine, tbl *leaseTable, specs []exp.Spec) {
 	for {
-		g, ok := tbl.next(true, 0)
+		g, ok := tbl.next(true)
 		if !ok {
 			return
 		}
@@ -469,7 +376,7 @@ func (c *Coordinator) runRemote(ctx context.Context, ws *workerState, g grant, s
 
 	recs := make([]exp.Record, 0, len(specs))
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -1,18 +1,19 @@
 // Package fabric distributes a sweep's spec list across worker
 // processes: a Coordinator splits the list into contiguous leased
-// ranges, assigns them over HTTP to Workers (cmd/sweepd daemons or
-// dsmrun -worker-listen), and merges the workers' JSON-lines record
-// streams back into spec order. The merged output is byte-identical to
-// a single-process sweep of the same specs at any worker count — the
-// same invariant internal/exp proves for in-process workers, carried
-// across process and machine boundaries.
+// ranges, assigns them over HTTP to Workers (cmd/sweepd daemons), and
+// merges the workers' JSON-lines record streams back into spec order.
+// The merged output is byte-identical to a single-process sweep of the
+// same specs at any worker count — the same invariant internal/exp
+// proves for in-process workers, carried across process and machine
+// boundaries.
 //
 // Robustness is the design center, not an afterthought:
 //
 //   - Every lease has a deadline. A worker that crashes, hangs past the
 //     deadline, or streams malformed records loses the lease, and the
 //     range returns to the pending queue for reassignment.
-//   - Idle workers re-run straggling in-flight ranges (at most one
+//   - Each worker asks for its next range only after its last lease
+//     returns, so a slow worker simply serves fewer ranges. Idle workers re-run straggling in-flight ranges (at most one
 //     duplicate attempt per range); the first valid result wins and
 //     late duplicates are deduplicated by spec key — harmless, because
 //     the simulator is deterministic and both copies are bit-equal.

@@ -94,10 +94,8 @@ func TestAllWorkersDieFallsBackLocal(t *testing.T) {
 		addrs = append(addrs, srv.URL)
 	}
 	c := runFleet(t, &Coordinator{
-		Workers:           addrs,
-		RangeSize:         2,
-		MaxAttempts:       2,
-		MaxWorkerFailures: 2,
+		Workers:   addrs,
+		RangeSize: 2,
 	}, specs, false)
 	if n := c.Snapshot().LocalRecords; n == 0 {
 		t.Error("local fallback executed no records after fleet death")

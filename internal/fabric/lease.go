@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -30,6 +29,10 @@ const (
 // original lease plus one straggler duplicate.
 const maxInflightPerRange = 2
 
+// maxAttempts caps remote attempts per range; a range that exhausts
+// them falls back to local execution.
+const maxAttempts = 3
+
 // specRange is one leased unit: the half-open slice specs[lo:hi] plus
 // its lease state and, once done, its validated records.
 type specRange struct {
@@ -47,12 +50,8 @@ type specRange struct {
 // and whether the merge was canceled. One mutex + condition variable
 // serialize it; grants, deliveries, failures and retirements all
 // broadcast so blocked workers and the in-order emitter re-evaluate.
-//
-// ranges stays sorted by lo and contiguous over [0, n): adaptive
-// sizing may split a pending range into a granted head and a pending
-// remainder, growing the slice, but never changes a leased or done
-// range's bounds — so the merge can walk spec positions and every
-// grant's slice is stable for its whole lease.
+// The range slice is fixed at construction: indices are stable, reading
+// len(ranges) needs no lock, and the merge waits on range i, then i+1.
 type leaseTable struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -60,28 +59,22 @@ type leaseTable struct {
 	ranges      []*specRange
 	done        int
 	liveWorkers int
-	maxAttempts int
 	canceled    bool
 }
 
 // newLeaseTable splits n specs into ranges of size (the last may be
 // ragged) for liveWorkers registered workers.
-func newLeaseTable(n, size, maxAttempts, liveWorkers int) *leaseTable {
-	t := &leaseTable{liveWorkers: liveWorkers, maxAttempts: maxAttempts}
+func newLeaseTable(n, size, liveWorkers int) *leaseTable {
+	t := &leaseTable{liveWorkers: liveWorkers}
 	t.cond = sync.NewCond(&t.mu)
 	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		t.ranges = append(t.ranges, &specRange{lo: lo, hi: hi})
+		t.ranges = append(t.ranges, &specRange{lo: lo, hi: min(lo+size, n)})
 	}
 	return t
 }
 
-// grant is one lease assignment: the granted range (its bounds are
-// frozen while leased) and the attempt ordinal (1-based, for lease IDs
-// and logs). Splits shift slice indices, so grants hold the pointer.
+// grant is one lease assignment: the granted range and the attempt
+// ordinal (1-based, for lease IDs and logs).
 type grant struct {
 	r       *specRange
 	attempt int
@@ -97,25 +90,14 @@ type grant struct {
 // callers (local=true) get ranges whose remote attempts are exhausted
 // — or any unfinished range once no live workers remain — and never
 // duplicate in-flight work.
-//
-// maxSpecs > 0 caps the grant for remote callers (adaptive range
-// sizing): a larger pending range is split at maxSpecs and only the
-// head granted, leaving the remainder pending for faster hands.
-// Straggler duplicates are never split — the original attempt's bounds
-// are already fixed.
-func (t *leaseTable) next(local bool, maxSpecs int) (grant, bool) {
+func (t *leaseTable) next(local bool) (grant, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
 		if t.canceled || t.done == len(t.ranges) {
 			return grant{}, false
 		}
-		if idx, ok := t.pickLocked(local); ok {
-			r := t.ranges[idx]
-			if !local && maxSpecs > 0 && r.status == rangePending && r.hi-r.lo > maxSpecs {
-				t.splitLocked(idx, maxSpecs)
-				r = t.ranges[idx]
-			}
+		if r := t.pickLocked(local); r != nil {
 			r.status = rangeLeased
 			if r.inflight == 0 {
 				r.started = time.Now()
@@ -128,48 +110,35 @@ func (t *leaseTable) next(local bool, maxSpecs int) (grant, bool) {
 	}
 }
 
-// splitLocked splits the pending range at idx into [lo, lo+keep) and a
-// pending remainder [lo+keep, hi), inserted right after it. The new
-// pending work wakes anything blocked in next. Caller holds t.mu.
-func (t *leaseTable) splitLocked(idx, keep int) {
-	r := t.ranges[idx]
-	rest := &specRange{lo: r.lo + keep, hi: r.hi}
-	r.hi = r.lo + keep
-	t.ranges = append(t.ranges, nil)
-	copy(t.ranges[idx+2:], t.ranges[idx+1:])
-	t.ranges[idx+1] = rest
-	t.cond.Broadcast()
-}
-
-// pickLocked chooses a range for a grant. Caller holds t.mu.
-func (t *leaseTable) pickLocked(local bool) (int, bool) {
+// pickLocked chooses a range for a grant, or nil. Caller holds t.mu.
+func (t *leaseTable) pickLocked(local bool) *specRange {
 	if local {
-		for i, r := range t.ranges {
+		for _, r := range t.ranges {
 			if r.status == rangeDone || r.inflight > 0 {
 				continue
 			}
 			if r.localOnly || t.liveWorkers == 0 {
-				return i, true
+				return r
 			}
 		}
-		return 0, false
+		return nil
 	}
-	for i, r := range t.ranges {
+	for _, r := range t.ranges {
 		if r.status == rangePending && !r.localOnly {
-			return i, true
+			return r
 		}
 	}
 	// Straggler re-issue: duplicate the oldest outstanding lease.
-	best, found := 0, false
-	for i, r := range t.ranges {
+	var best *specRange
+	for _, r := range t.ranges {
 		if r.status != rangeLeased || r.localOnly || r.inflight >= maxInflightPerRange {
 			continue
 		}
-		if !found || r.started.Before(t.ranges[best].started) {
-			best, found = i, true
+		if best == nil || r.started.Before(best.started) {
+			best = r
 		}
 	}
-	return best, found
+	return best
 }
 
 // deliver completes one attempt with validated records. The first
@@ -207,7 +176,7 @@ func (t *leaseTable) fail(g grant) {
 		if r.inflight == 0 {
 			r.status = rangePending
 		}
-		if r.attempts >= t.maxAttempts {
+		if r.attempts >= maxAttempts {
 			r.localOnly = true
 		}
 	}
@@ -231,34 +200,18 @@ func (t *leaseTable) cancel() {
 	t.cond.Broadcast()
 }
 
-// waitDoneAt blocks until the range starting at spec position lo is
-// done, returning its records and the next position; ok=false means
-// the table was canceled first. Splits only touch pending ranges, so
-// the range at lo may gain a smaller hi while still pending, but once
-// done its bounds are final — the emitter walks positions, immune to
-// the slice growing under it.
-func (t *leaseTable) waitDoneAt(lo int) ([]exp.Record, int, bool) {
+// waitDone blocks until range i is done and returns its records;
+// ok=false means the table was canceled first.
+func (t *leaseTable) waitDone(i int) ([]exp.Record, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for {
-		if r := t.rangeAtLocked(lo); r != nil && r.status == rangeDone {
-			return r.records, r.hi, true
-		}
+	for t.ranges[i].status != rangeDone {
 		if t.canceled {
-			return nil, 0, false
+			return nil, false
 		}
 		t.cond.Wait()
 	}
-}
-
-// rangeAtLocked finds the range whose lo matches, by binary search
-// (ranges stay sorted and contiguous). Caller holds t.mu.
-func (t *leaseTable) rangeAtLocked(lo int) *specRange {
-	i := sort.Search(len(t.ranges), func(i int) bool { return t.ranges[i].lo >= lo })
-	if i < len(t.ranges) && t.ranges[i].lo == lo {
-		return t.ranges[i]
-	}
-	return nil
+	return t.ranges[i].records, true
 }
 
 // doneRanges returns how many ranges have completed (for progress).
@@ -266,11 +219,4 @@ func (t *leaseTable) doneRanges() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.done
-}
-
-// totalRanges returns the current range count; splits grow it.
-func (t *leaseTable) totalRanges() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ranges)
 }

@@ -35,14 +35,14 @@ func (c *Coordinator) registerMetrics() {
 		return
 	}
 	c.metricsOnce.Do(func() {
-		r.GaugeFunc(mRangesTotal, "Leased ranges in the current sweep (splits grow it).", func() float64 {
+		r.GaugeFunc(mRangesTotal, "Leased ranges in the current sweep.", func() float64 {
 			c.mu.Lock()
-			tbl, total := c.tbl, c.rangesTotal
+			tbl := c.tbl
 			c.mu.Unlock()
-			if tbl != nil {
-				return float64(tbl.totalRanges())
+			if tbl == nil {
+				return 0
 			}
-			return float64(total)
+			return float64(len(tbl.ranges))
 		})
 		r.GaugeFunc(mRangesDone, "Leased ranges completed.", func() float64 {
 			c.mu.Lock()
@@ -121,10 +121,7 @@ type FleetSnapshot struct {
 // Snapshot returns the fleet's current progress state.
 func (c *Coordinator) Snapshot() FleetSnapshot {
 	c.mu.Lock()
-	snap := FleetSnapshot{
-		RecordsTotal: c.recordsTotal,
-		RangesTotal:  c.rangesTotal,
-	}
+	snap := FleetSnapshot{RecordsTotal: c.recordsTotal}
 	if !c.start.IsZero() {
 		snap.ElapsedSeconds = time.Since(c.start).Seconds()
 	}
@@ -133,7 +130,7 @@ func (c *Coordinator) Snapshot() FleetSnapshot {
 	c.mu.Unlock()
 	if tbl != nil {
 		snap.RangesDone = tbl.doneRanges()
-		snap.RangesTotal = tbl.totalRanges()
+		snap.RangesTotal = len(tbl.ranges)
 	}
 	snap.RecordsDone = c.recordsDone.Load()
 	snap.RecordsFailed = c.recordsFailed.Load()
@@ -180,12 +177,11 @@ func (c *Coordinator) progressLine() {
 	}
 	c.lastLine = now
 	total := c.recordsTotal
-	rangesTotal := c.rangesTotal
-	var rangesDone int
+	var rangesDone, rangesTotal int
 	if c.tbl != nil {
-		// done/totalRanges take the table lock, never the coordinator's.
+		// doneRanges takes the table lock, never the coordinator's.
 		rangesDone = c.tbl.doneRanges()
-		rangesTotal = c.tbl.totalRanges()
+		rangesTotal = len(c.tbl.ranges)
 	}
 	live := 0
 	for _, ws := range c.workers {

@@ -35,8 +35,7 @@ type Worker struct {
 	// (engines capture it at creation).
 	Store *store.Store
 	// StallPerRecord, when > 0, sleeps that long per streamed record —
-	// a test hook that makes this worker deliberately slow, so adaptive
-	// range sizing has something to adapt to.
+	// a test hook that makes this worker deliberately slow.
 	StallPerRecord time.Duration
 
 	// KillAfterRecords > 0 injects a fault: after streaming that many

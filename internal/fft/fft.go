@@ -4,32 +4,36 @@
 // the paper (128, 128, 64) are powers of two.
 package fft
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync/atomic"
+)
 
-// twiddleCache memoizes per-size twiddle tables. The simulator runs the
+// twiddleCache memoizes per-size twiddle tables, indexed by direction
+// (0 forward, 1 inverse) and log2 of the size. The simulator runs the
 // same transform sizes millions of times, and regenerating twiddles
-// dominates otherwise. Not safe for concurrent mutation, which is fine:
-// the simulator serializes all execution.
-var twiddleCache = map[int][]complex128{}
+// dominates otherwise. Concurrent simulations share it, so each slot is
+// an atomic pointer: two racing first calls build equal tables and
+// either store wins.
+var twiddleCache [2][64]atomic.Pointer[[]complex128]
 
+// twiddles returns the table for a power-of-two n.
 func twiddles(n int, inverse bool) []complex128 {
-	key := n
+	dir, sign := 0, -1.0
 	if inverse {
-		key = -n
+		dir, sign = 1, 1.0
 	}
-	if tw, ok := twiddleCache[key]; ok {
-		return tw
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+	slot := &twiddleCache[dir][bits.TrailingZeros(uint(n))]
+	if tw := slot.Load(); tw != nil {
+		return *tw
 	}
 	tw := make([]complex128, n/2)
 	for i := range tw {
 		ang := sign * 2 * math.Pi * float64(i) / float64(n)
 		tw[i] = complex(math.Cos(ang), math.Sin(ang))
 	}
-	twiddleCache[key] = tw
+	slot.Store(&tw)
 	return tw
 }
 

@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +165,32 @@ func TestPow2(t *testing.T) {
 			t.Errorf("Pow2(%d) = %v", n, Pow2(n))
 		}
 	}
+}
+
+// TestConcurrentTransform runs forward/inverse round trips over every
+// size 2..1024 from several goroutines at once, as concurrent
+// simulations do; under -race it checks the shared twiddle cache.
+func TestConcurrentTransform(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 2; n <= 1024; n <<= 1 {
+				x := ramp(n)
+				Forward(x)
+				Inverse(x)
+				for i := range x {
+					x[i] /= complex(float64(n), 0)
+				}
+				if !approxEqual(x, ramp(n), 1e-9*float64(n)) {
+					t.Errorf("n=%d: round trip disagrees", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func BenchmarkTransform128(b *testing.B) {
